@@ -328,7 +328,8 @@ type RemoteOptions struct {
 // session (optionally degraded by o.FaultSpec) and the hardened
 // controller retries, resumes, and — if the session is permanently lost —
 // degrades to a partial map. Probing is single-worker so that for a
-// fixed world seed and fault spec the report is deterministic.
+// fixed world seed and fault spec the report is deterministic. A VP that
+// was already mapped reports its earlier result.
 func (w *World) MapBordersRemote(vp int, o RemoteOptions) (*Report, error) {
 	cfg := scamper.Config{
 		Workers:        1,

@@ -19,10 +19,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sort"
 	"time"
 
-	"bdrmap/internal/asrel"
-	"bdrmap/internal/bgp"
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
 	"bdrmap/internal/faults"
@@ -230,7 +229,7 @@ func main() {
 	}
 	inj := faults.New(spec)
 
-	agentEngine := probe.New(s.Net, bgp.NewTable(s.Net))
+	agentEngine := probe.New(s.Net, s.Tab)
 	agentEngine.SetObs(s.Obs)
 	agentEngine.SetFaults(inj)
 	// The agent keeps a small span log of its own sessions; the controller
@@ -270,7 +269,7 @@ func main() {
 		s.Spans.MergeRecords(recs, vsp.ID())
 	}
 	res := core.Infer(core.Input{
-		Data: ds, View: s.View, Rel: asrel.Infer(s.View), RIR: s.RIR, IXP: s.IXP,
+		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
 		HostASN: s.Net.HostASN, Siblings: s.Sibs, Obs: s.Obs, Trace: s.Trace,
 		Spans: s.Spans, SpanParent: vsp.ID(),
 	})
@@ -283,8 +282,13 @@ func main() {
 	fmt.Printf("protocol traffic: %dB out, %dB in\n", out, in)
 	fmt.Printf("inferred %d interdomain links across %d neighbors\n",
 		len(res.Links), len(res.Neighbors))
-	for asn, links := range res.Neighbors {
-		fmt.Printf("  %v: %d link(s)\n", asn, len(links))
+	nbs := make([]topo.ASN, 0, len(res.Neighbors))
+	for asn := range res.Neighbors {
+		nbs = append(nbs, asn)
+	}
+	sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
+	for _, asn := range nbs {
+		fmt.Printf("  %v: %d link(s)\n", asn, len(res.Neighbors[asn]))
 	}
 	finish()
 }

@@ -56,6 +56,16 @@ func ownerRows(rep *Report) []ownerRow {
 // maps: link sets, owner attributions, and trace fingerprints.
 func diffReports(t *testing.T, wantName, gotName string, want, got *Report, wantFP, gotFP string) {
 	t.Helper()
+	diffMaps(t, wantName, gotName, want, got)
+	if wantFP != gotFP {
+		t.Errorf("trace fingerprints diverged: %s=%s %s=%s", wantName, wantFP, gotName, gotFP)
+	}
+}
+
+// diffMaps asserts two reports carry byte-identical link sets and owner
+// attributions.
+func diffMaps(t *testing.T, wantName, gotName string, want, got *Report) {
+	t.Helper()
 	if wl, gl := goldenLinks(want), goldenLinks(got); !reflect.DeepEqual(wl, gl) {
 		t.Errorf("link sets diverged\n%s (%d links): %s\n%s (%d links): %s",
 			wantName, len(wl), mustJSON(wl), gotName, len(gl), mustJSON(gl))
@@ -63,9 +73,6 @@ func diffReports(t *testing.T, wantName, gotName string, want, got *Report, want
 	if wo, do := ownerRows(want), ownerRows(got); !reflect.DeepEqual(wo, do) {
 		t.Errorf("owner attributions diverged\n%s (%d routers): %s\n%s (%d routers): %s",
 			wantName, len(wo), mustJSON(wo), gotName, len(do), mustJSON(do))
-	}
-	if wantFP != gotFP {
-		t.Errorf("trace fingerprints diverged: %s=%s %s=%s", wantName, wantFP, gotName, gotFP)
 	}
 }
 
@@ -96,6 +103,11 @@ func diffWorlds(t *testing.T, seqName, fltName string, seq, flt *World, seqReps,
 
 // TestDifferentialSequentialVsFleet runs the golden (profile, seed)
 // scenarios through the sequential coordinator and 4- and 8-worker fleets.
+// It also maps every VP of a fresh world one at a time, last VP first:
+// MapBorders(i) is the one-VP subset of the same coordinator, so its
+// links, owners and merged map must equal MapAll's whatever ran before
+// it. (The trace and span streams nest one fleet per call, so their
+// fingerprints legitimately differ from MapAll's single fleet.)
 func TestDifferentialSequentialVsFleet(t *testing.T) {
 	cases := []struct {
 		name string
@@ -121,6 +133,21 @@ func TestDifferentialSequentialVsFleet(t *testing.T) {
 					diffWorlds(t, "sequential", fmt.Sprintf("workers=%d", workers), seq, flt, seqReps, fltReps)
 				})
 			}
+			t.Run(fmt.Sprintf("%s-seed%d-per-vp-reversed", tc.name, seed), func(t *testing.T) {
+				one := NewWorld(tc.prof, seed)
+				reps := make([]*Report, one.NumVPs())
+				for i := len(reps) - 1; i >= 0; i-- {
+					reps[i] = one.MapBorders(i)
+				}
+				for i := range reps {
+					diffMaps(t, "MapAll", fmt.Sprintf("MapBorders(%d)", i), seqReps[i], reps[i])
+				}
+				sm := core.Merge(seq.Scenario().Results)
+				om := core.Merge(one.Scenario().Results)
+				if !reflect.DeepEqual(sm, om) {
+					t.Errorf("merged maps diverged: MapAll %d links, per-VP %d links", sm.LinkCount(), om.LinkCount())
+				}
+			})
 		}
 	}
 }
@@ -172,8 +199,8 @@ func TestDifferentialInferWorkers(t *testing.T) {
 }
 
 // TestDifferentialRemoteChaos replays the remote-tiny chaos seeds through
-// the standalone remote runner and a fleet remote shard: the degraded
-// (partial) datasets must infer identically.
+// a single-VP subset (MapBordersRemote) and a full fleet with the VP as a
+// remote shard: the degraded (partial) datasets must infer identically.
 func TestDifferentialRemoteChaos(t *testing.T) {
 	specs := []struct{ name, spec string }{
 		{"drop", "seed=11,drop=0.12,heal=40"},
@@ -198,7 +225,7 @@ func TestDifferentialRemoteChaos(t *testing.T) {
 				t.Fatal("fleet remote shard produced no result")
 			}
 			frep := fw.buildReport(res)
-			diffReports(t, "standalone", "fleet", srep, frep,
+			diffReports(t, "single-VP", "fleet", srep, frep,
 				sw.TraceFingerprint(), fw.TraceFingerprint())
 		})
 	}

@@ -12,17 +12,17 @@ import (
 	"bdrmap/internal/scamper"
 )
 
-// The fleet runner: RunAll and RunAllIncremental are reimplemented on the
-// internal/fleet coordinator, with every vantage point as one shard.
+// The fleet runner is the only code that runs a vantage point. RunFleet,
+// RunAll, RunVP and RunVPRemote all schedule shards — one per VP — on
+// the internal/fleet coordinator; the single-VP entry points are the
+// one-shard subset of the same run.
 //
 // Isolation is what makes the schedule irrelevant: each shard attempt
-// runs on a fresh probe.Engine (the same "pure function of (profile,
-// seed, cfg, faultSpec)" construction RunVPRemote pioneered) and records
-// into private trace/span fragments the coordinator merges back in VP
-// order. The scenario's shared Engine is untouched — RunVP and the
-// single-VP World paths keep their exact historical behavior — and
-// Results/Datasets are only written after the pool drains, on the
-// caller's goroutine.
+// runs on a fresh probe.Engine, so its measurement is a pure function of
+// (profile, seed, cfg, faultSpec), and records into private trace/span
+// fragments the coordinator merges back in VP order. MapBorders(i) thus
+// equals MapAll()[i] whatever VPs ran before it. Results/Datasets are
+// only written after the pool drains, on the caller's goroutine.
 
 // FleetVP configures one vantage point's transport for RunFleet.
 type FleetVP struct {
@@ -50,8 +50,10 @@ type FleetOptions struct {
 	// VPs overrides transport per VP index; absent entries run locally.
 	VPs map[int]FleetVP
 	// States and Prevs carry per-VP cross-round state (indexed like
-	// Net.VPs), as in RunAllIncremental. A shard's RoundState stays with
-	// the shard across retries and worker reassignment.
+	// Net.VPs): a VP's measurement memory from the previous round and its
+	// previous inference result, which the driver replays and the core
+	// splices. A shard's RoundState stays with the shard across retries
+	// and worker reassignment.
 	States []*scamper.RoundState
 	Prevs  []*core.Result
 	// Opts is passed to every shard's inference.
@@ -62,11 +64,12 @@ type FleetOptions struct {
 	// Gate, when set, is called at the start of every attempt of VP i —
 	// a test hook for pinning straggler and quorum schedules.
 	Gate func(vp int)
-	// ClaimTimeout bounds the wait for a remote agent's handshake per
-	// attempt (default 5s — generous against the millisecond redial
-	// schedule the loopback agents use).
-	ClaimTimeout time.Duration
 }
+
+// claimTimeout bounds the wait for a remote agent's handshake per attempt:
+// generous against the millisecond redial schedule the loopback agents
+// use. An agent that exits first ends the wait at once.
+const claimTimeout = 5 * time.Second
 
 // fleetRuntime is the shared remote-transport state of one RunFleet call:
 // a single controller and its session router, claimed by whichever worker
@@ -83,9 +86,68 @@ type fleetRuntime struct {
 // for configuration or listener failures — per-shard failures are
 // reported in the summary (and leave that VP's Results slot nil).
 func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary, error) {
+	vps := make([]int, len(s.Net.VPs))
+	for i := range vps {
+		vps[i] = i
+	}
+	return s.runShards(vps, cfg, fo)
+}
+
+// RunAll measures from every VP. It is the one-worker degenerate case of
+// the fleet coordinator: every VP runs locally, in VP order, on a fresh
+// engine, and the outputs land in Datasets/Results exactly as before.
+// RunFleet with more workers produces byte-identical merged output.
+func (s *Scenario) RunAll(cfg scamper.Config) {
+	if _, err := s.RunFleet(cfg, FleetOptions{Workers: 1}); err != nil {
+		// Local-only fleets allocate no listener and validate no order:
+		// there is nothing left that can fail.
+		panic(fmt.Sprintf("eval: RunAll: %v", err))
+	}
+}
+
+// RunVP measures and infers from one vantage point: the one-shard subset
+// of RunFleet. A memoized result is returned without measuring.
+func (s *Scenario) RunVP(i int, cfg scamper.Config, opts core.Options) *core.Result {
+	if s.Results[i] == nil {
+		if _, err := s.runShards([]int{i}, cfg, FleetOptions{Opts: opts}); err != nil {
+			// A local shard allocates no listener and validates no order.
+			panic(fmt.Sprintf("eval: RunVP: %v", err))
+		}
+	}
+	return s.Results[i]
+}
+
+// RunVPRemote measures VP i over the §5.8 remote-control protocol: a thin
+// agent with its own engine dials back to an in-process controller over
+// loopback TCP, optionally through a deterministic fault injector
+// (faultSpec syntax: internal/faults, e.g. "seed=11,drop=0.12,heal=40").
+// Probing is forced to one worker so the command stream — and therefore
+// the fault schedule and the inferred links — is deterministic. A lost
+// session degrades gracefully: the partial dataset is still inferred and
+// Datasets[i].Stats.TargetsLost reports what was abandoned. Only a run
+// that salvages nothing — no session ever formed — returns an error. Like
+// RunVP, a VP that already has a result is not measured again.
+func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, opts core.Options, faultSpec string) (*core.Result, error) {
+	sum, err := s.runShards([]int{i}, cfg, FleetOptions{
+		Opts: opts,
+		VPs:  map[int]FleetVP{i: {Remote: true, FaultSpecs: []string{faultSpec}}},
+	})
+	if err != nil {
+		return nil, err
+	}
+	if sh := sum.Shards[0]; sh.State == fleet.Failed {
+		return nil, sh.Err
+	}
+	return s.Results[i], nil
+}
+
+// runShards measures the listed VPs as one fleet run, shard k being VP
+// vps[k]. fo.VPs, States, Prevs and Gate are keyed by VP index; fo.Order
+// and the returned summary by shard.
+func (s *Scenario) runShards(vps []int, cfg scamper.Config, fo FleetOptions) (*fleet.Summary, error) {
 	var rt *fleetRuntime
-	for _, vp := range fo.VPs {
-		if vp.Remote {
+	for _, i := range vps {
+		if fo.VPs[i].Remote {
 			ctrl, err := scamper.Listen("127.0.0.1:0")
 			if err != nil {
 				return nil, err
@@ -98,15 +160,15 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary
 		}
 	}
 
-	shards := make([]fleet.Shard, len(s.Net.VPs))
-	for i := range s.Net.VPs {
+	shards := make([]fleet.Shard, len(vps))
+	for k, i := range vps {
 		i := i
-		shards[i] = fleet.Shard{
+		shards[k] = fleet.Shard{
 			Name: s.Net.VPs[i].Name,
 			Run: func(ctx fleet.RunCtx) (*fleet.Output, error) {
 				if s.Results[i] != nil {
-					// Memoized by an earlier RunVP/RunFleet: fold the
-					// existing result, measure nothing.
+					// Memoized by an earlier run: fold the existing
+					// result, measure nothing.
 					return &fleet.Output{Result: s.Results[i]}, nil
 				}
 				if fo.Gate != nil {
@@ -115,7 +177,13 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary
 				if fo.VPs[i].Remote {
 					return s.fleetShardRemote(i, ctx, cfg, fo, rt)
 				}
-				return s.fleetShardLocal(i, ctx, cfg, fo)
+				cfg := cfg // every shard's closure shares the outer cfg
+				if fo.States != nil {
+					cfg.State = fo.States[i]
+				}
+				eng := probe.New(s.Net, s.Tab)
+				eng.SetObs(s.Obs)
+				return s.runVP(i, ctx, cfg, fo, scamper.LocalProber{E: eng, VP: s.Net.VPs[i]}, nil, nil)
 			},
 		}
 	}
@@ -135,10 +203,11 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary
 	if err != nil {
 		return nil, err
 	}
-	for i, out := range sum.Outputs {
+	for k, out := range sum.Outputs {
 		if out == nil {
 			continue
 		}
+		i := vps[k]
 		if ds, ok := out.Aux.(*scamper.Dataset); ok {
 			s.Datasets[i] = ds
 		}
@@ -147,55 +216,13 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary
 	return sum, nil
 }
 
-// fleetFrags allocates one attempt's private trace and span fragments,
-// mirroring the enabled-ness of the scenario's shared logs.
-func (s *Scenario) fleetFrags() (*obs.Tracer, *obs.SpanLog) {
-	var frag *obs.Tracer
-	var sfrag *obs.SpanLog
-	if s.Trace.Enabled() {
-		frag = obs.NewTracer(0)
-	}
-	if s.Spans.Enabled() {
-		sfrag = obs.NewSpanLog(0)
-	}
-	return frag, sfrag
-}
-
-// fleetShardLocal runs VP i in-process on a fresh engine. Local shards
-// cannot fail: the engine is simulated and lossless, so the first attempt
-// is the only one.
-func (s *Scenario) fleetShardLocal(i int, ctx fleet.RunCtx, cfg scamper.Config, fo FleetOptions) (*fleet.Output, error) {
-	frag, sfrag := s.fleetFrags()
-	eng := probe.New(s.Net, s.Tab)
-	eng.SetObs(s.Obs)
-	vsp := sfrag.Begin(0, "vp", s.Net.VPs[i].Name)
-	vsp.SetAttr("mode", "fleet")
-	if fo.States != nil {
-		cfg.State = fo.States[i]
-	}
-	d := &scamper.Driver{
-		View:       s.View,
-		Prober:     scamper.LocalProber{E: eng, VP: s.Net.VPs[i]},
-		HostASNs:   s.HostASNs,
-		Cfg:        cfg,
-		Obs:        s.Obs,
-		Trace:      frag,
-		Spans:      sfrag,
-		SpanParent: vsp.ID(),
-	}
-	ds := d.Run()
-	res := s.fleetInfer(i, ds, fo, frag, sfrag, vsp, ctx.Arena)
-	vsp.End()
-	s.Obs.Inc("eval.vp_runs")
-	return &fleet.Output{Result: res, Trace: frag, Spans: sfrag, Aux: ds}, nil
-}
-
 // fleetShardRemote runs one attempt of VP i as a remote agent through the
 // run's shared controller. A session the fault schedule permanently kills
 // returns its partial output *and* an error: the coordinator retries
 // within budget — the next attempt's agent redial resumes against the
 // shard's surviving RoundState — or keeps the salvage and marks the shard
-// degraded.
+// degraded. An agent that exits before any session forms fails the
+// attempt with no output.
 func (s *Scenario) fleetShardRemote(i int, ctx fleet.RunCtx, cfg scamper.Config, fo FleetOptions, rt *fleetRuntime) (*fleet.Output, error) {
 	specs := fo.VPs[i].FaultSpecs
 	specStr := ""
@@ -215,14 +242,20 @@ func (s *Scenario) fleetShardRemote(i int, ctx fleet.RunCtx, cfg scamper.Config,
 	eng := probe.New(s.Net, s.Tab)
 	eng.SetObs(s.Obs)
 	eng.SetFaults(inj)
+	// The agent keeps its own small span log (one span per protocol
+	// session); the tail pulls and grafts it under the vp span after the
+	// run, so redials and resumes are visible in the timeline.
 	var agentSpans *obs.SpanLog
 	if s.Spans.Enabled() {
 		agentSpans = obs.NewSpanLog(256)
 	}
 	agent := &scamper.Agent{E: eng, VP: s.Net.VPs[i], Spans: agentSpans}
-	agentDone := make(chan error, 1)
+	agentExit := make(chan struct{})
 	go func() {
-		agentDone <- agent.DialRetry(rt.ctrl.Addr(), scamper.DialOptions{
+		defer close(agentExit)
+		// A clean bye returns nil; a killed agent reports its redial
+		// exhaustion. Either way the dataset is what counts.
+		_ = agent.DialRetry(rt.ctrl.Addr(), scamper.DialOptions{
 			Dial:         inj.DialFunc,
 			MaxRedials:   100,
 			RedialBase:   time.Millisecond,
@@ -230,22 +263,15 @@ func (s *Scenario) fleetShardRemote(i int, ctx fleet.RunCtx, cfg scamper.Config,
 			HelloTimeout: 250 * time.Millisecond,
 		})
 	}()
-	drainAgent := func() {
-		select {
-		case <-agentDone:
-		case <-time.After(10 * time.Second):
-		}
-	}
 
-	claimTimeout := fo.ClaimTimeout
-	if claimTimeout <= 0 {
-		claimTimeout = 5 * time.Second
-	}
-	rp, err := rt.router.Claim(s.Net.VPs[i].Name, claimTimeout)
+	rp, err := rt.router.Claim(s.Net.VPs[i].Name, claimTimeout, agentExit)
 	if err != nil {
-		drainAgent()
+		waitAgent(agentExit)
 		return nil, fmt.Errorf("eval: fleet shard %s attempt %d: %w", s.Net.VPs[i].Name, ctx.Attempt, err)
 	}
+	// Loopback scale: frame processing is sub-millisecond (the engine is
+	// simulated), so timeouts far below the WAN defaults keep chaos runs
+	// fast while still dwarfing any injected stall.
 	rp.SetHardening(scamper.Hardening{
 		FrameTimeout: 100 * time.Millisecond,
 		RetryBudget:  12,
@@ -255,26 +281,51 @@ func (s *Scenario) fleetShardRemote(i int, ctx fleet.RunCtx, cfg scamper.Config,
 	})
 
 	// Single-worker probing keeps the command stream — and therefore the
-	// fault schedule — deterministic, as in RunVPRemote.
+	// fault schedule — deterministic. Cross-round state needs the path
+	// signatures only a signing agent provides.
 	cfg.Workers = 1
+	var prober scamper.Prober = rp
 	if fo.States != nil && fo.States[i] != nil {
 		if sp := rp.Signed(); sp != nil {
 			cfg.State = fo.States[i]
-			frag, sfrag := s.fleetFrags()
-			return s.fleetRemoteRun(i, ctx, cfg, fo, sp, rp, frag, sfrag, drainAgent)
+			prober = sp
 		}
 	}
-	frag, sfrag := s.fleetFrags()
-	return s.fleetRemoteRun(i, ctx, cfg, fo, rp, rp, frag, sfrag, drainAgent)
+	return s.runVP(i, ctx, cfg, fo, prober, rp, agentExit)
 }
 
-// fleetRemoteRun is the transport-independent tail of a remote attempt:
-// drive, pull spans, infer, decide success.
-func (s *Scenario) fleetRemoteRun(i int, ctx fleet.RunCtx, cfg scamper.Config, fo FleetOptions,
-	prober scamper.Prober, rp *scamper.RemoteProber, frag *obs.Tracer, sfrag *obs.SpanLog, drainAgent func()) (*fleet.Output, error) {
+// waitAgent waits, boundedly, for a remote agent goroutine to exit.
+func waitAgent(agentExit <-chan struct{}) {
+	select {
+	case <-agentExit:
+	case <-time.After(10 * time.Second):
+	}
+}
+
+// runVP is the tail every VP attempt shares: drive the prober, settle a
+// remote session (rp non-nil: graft the agent's spans, close, wait for
+// the agent), then infer into the worker's arena with the shard's
+// previous-round result spliced in when provided. A remote session that
+// was lost, or lost targets, returns its partial output and an error.
+func (s *Scenario) runVP(i int, ctx fleet.RunCtx, cfg scamper.Config, fo FleetOptions,
+	prober scamper.Prober, rp *scamper.RemoteProber, agentExit <-chan struct{}) (*fleet.Output, error) {
+	// Private trace and span fragments, enabled like the shared logs the
+	// coordinator merges them into.
+	var frag *obs.Tracer
+	var sfrag *obs.SpanLog
+	if s.Trace.Enabled() {
+		frag = obs.NewTracer(0)
+	}
+	if s.Spans.Enabled() {
+		sfrag = obs.NewSpanLog(0)
+	}
 	vsp := sfrag.Begin(0, "vp", s.Net.VPs[i].Name)
-	vsp.SetAttr("mode", "fleet-remote")
-	vsp.SetAttr("attempt", ctx.Attempt)
+	if rp == nil {
+		vsp.SetAttr("mode", "fleet")
+	} else {
+		vsp.SetAttr("mode", "fleet-remote")
+		vsp.SetAttr("attempt", ctx.Attempt)
+	}
 	d := &scamper.Driver{
 		View:       s.View,
 		Prober:     prober,
@@ -286,40 +337,42 @@ func (s *Scenario) fleetRemoteRun(i int, ctx fleet.RunCtx, cfg scamper.Config, f
 		SpanParent: vsp.ID(),
 	}
 	ds := d.Run()
-	if sfrag.Enabled() {
-		if recs, err := rp.PullSpans(); err == nil {
-			sfrag.MergeRecords(recs, vsp.ID())
+	var sessErr error
+	if rp != nil {
+		// Best-effort: a session the fault schedule killed for good has
+		// nothing to pull, and that must not fail a degraded-but-useful run.
+		if sfrag.Enabled() {
+			if recs, err := rp.PullSpans(); err == nil {
+				sfrag.MergeRecords(recs, vsp.ID())
+			}
 		}
-	}
-	sessErr := rp.Err()
-	rp.Close()
-	drainAgent()
-
-	res := s.fleetInfer(i, ds, fo, frag, sfrag, vsp, ctx.Arena)
-	vsp.End()
-	s.Obs.Inc("eval.vp_runs_remote")
-	out := &fleet.Output{Result: res, Trace: frag, Spans: sfrag, Aux: ds}
-	if sessErr != nil || ds.Stats.TargetsLost > 0 {
-		if sessErr == nil {
+		sessErr = rp.Err()
+		rp.Close()
+		waitAgent(agentExit)
+		if sessErr == nil && ds.Stats.TargetsLost > 0 {
 			sessErr = fmt.Errorf("%d targets lost", ds.Stats.TargetsLost)
 		}
-		return out, fmt.Errorf("eval: fleet shard %s attempt %d: %w", s.Net.VPs[i].Name, ctx.Attempt, sessErr)
 	}
-	return out, nil
-}
 
-// fleetInfer runs the shard's inference into the worker's arena, with the
-// shard's previous-round result spliced in when provided.
-func (s *Scenario) fleetInfer(i int, ds *scamper.Dataset, fo FleetOptions,
-	frag *obs.Tracer, sfrag *obs.SpanLog, vsp *obs.OpenSpan, arena *core.Arena) *core.Result {
 	var prev *core.Result
 	if fo.Prevs != nil {
 		prev = fo.Prevs[i]
 	}
-	return core.Infer(core.Input{
+	res := core.Infer(core.Input{
 		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
 		HostASN: s.Net.HostASN, Siblings: s.Sibs, Opts: fo.Opts,
 		Obs: s.Obs, Trace: frag, Spans: sfrag, SpanParent: vsp.ID(),
-		Prev: prev, Arena: arena,
+		Prev: prev, Arena: ctx.Arena,
 	})
+	vsp.End()
+	out := &fleet.Output{Result: res, Trace: frag, Spans: sfrag, Aux: ds}
+	if rp == nil {
+		s.Obs.Inc("eval.vp_runs")
+		return out, nil
+	}
+	s.Obs.Inc("eval.vp_runs_remote")
+	if sessErr != nil {
+		return out, fmt.Errorf("eval: fleet shard %s attempt %d: %w", s.Net.VPs[i].Name, ctx.Attempt, sessErr)
+	}
+	return out, nil
 }

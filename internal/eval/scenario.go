@@ -10,12 +10,10 @@ package eval
 
 import (
 	"fmt"
-	"time"
 
 	"bdrmap/internal/asrel"
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/core"
-	"bdrmap/internal/faults"
 	"bdrmap/internal/ixp"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
@@ -38,39 +36,35 @@ type Scenario struct {
 	RIR      *rir.DB
 	IXP      *ixp.PrefixList
 	Sibs     *sibling.Set
-	Engine   *probe.Engine
 	HostASNs map[topo.ASN]bool
+	// Engine is a probe engine on Net for direct probing (TSLP
+	// monitoring, the congestion example). No VP run touches it: every
+	// run probes on a fresh engine of its own.
+	Engine *probe.Engine
 	// Obs collects metrics from every stage of the scenario's pipeline.
 	Obs *obs.Registry
 	// Trace records decision-provenance events from every stage. Always
 	// non-nil after Build; the event stream (and its Fingerprint) is a pure
 	// function of (profile, seed, cfg) regardless of worker count.
 	Trace *obs.Tracer
-	// Spans records the run's hierarchical span timeline (run → vp →
-	// stage → target, plus remote agent-session spans grafted in after a
-	// remote run). Always non-nil after Build; like the Trace stream its
+	// Spans records the run's hierarchical span timeline (run → fleet →
+	// vp → stage → target, plus remote agent-session spans grafted in
+	// after a remote run). Always non-nil after Build; like the Trace stream its
 	// deterministic portion is a pure function of (profile, seed, cfg)
 	// regardless of worker count or healing fault schedule.
 	Spans *obs.SpanLog
-	// SpanRoot is the open "run" root span every vp span parents under.
+	// SpanRoot is the open "run" root span every fleet span parents under.
 	// It stays open for the scenario's lifetime; exporters include it via
 	// SpanLog.Snapshot.
 	SpanRoot *obs.OpenSpan
 
-	Datasets []*scamper.Dataset // per VP, filled by RunVP/RunAll
+	Datasets []*scamper.Dataset // per VP, filled by the fleet runner (fleet.go)
 	Results  []*core.Result
 
 	// hostAdj is the public view's host-AS adjacency set, built once at
 	// Build time: classify is called per neighbor per report row, and a
 	// linear NeighborsOf scan per call is quadratic on large profiles.
 	hostAdj map[topo.ASN]bool
-
-	// arena backs every inference this scenario runs: the router-graph
-	// slabs are reset — not reallocated — between VPs and between RunAll
-	// scenarios that share the Scenario value. Scenario methods are not
-	// concurrency-safe, so one arena per scenario is exactly one inference
-	// at a time.
-	arena core.Arena
 }
 
 // Build generates the topology and derives every bdrmap input.
@@ -114,242 +108,6 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 		Datasets: make([]*scamper.Dataset, len(n.VPs)),
 		Results:  make([]*core.Result, len(n.VPs)),
 		hostAdj:  adj,
-	}
-}
-
-// beginVPSpan opens the "vp" span VP i's driver stages and inference
-// attach under. It parents under SpanRoot — the scenario's run span, or
-// whatever the rounds runner re-pointed SpanRoot at (its round span).
-func (s *Scenario) beginVPSpan(i int, mode string) *obs.OpenSpan {
-	sp := s.Spans.Begin(s.SpanRoot.ID(), "vp", s.Net.VPs[i].Name)
-	if mode != "" {
-		sp.SetAttr("mode", mode)
-	}
-	return sp
-}
-
-// RunVP measures and infers from one vantage point.
-func (s *Scenario) RunVP(i int, cfg scamper.Config, opts core.Options) *core.Result {
-	if s.Results[i] != nil {
-		return s.Results[i]
-	}
-	vsp := s.beginVPSpan(i, "")
-	d := &scamper.Driver{
-		View:       s.View,
-		Prober:     scamper.LocalProber{E: s.Engine, VP: s.Net.VPs[i]},
-		HostASNs:   s.HostASNs,
-		Cfg:        cfg,
-		Obs:        s.Obs,
-		Trace:      s.Trace,
-		Spans:      s.Spans,
-		SpanParent: vsp.ID(),
-	}
-	ds := d.Run()
-	res := core.Infer(core.Input{
-		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs, Opts: opts,
-		Obs: s.Obs, Trace: s.Trace, Spans: s.Spans, SpanParent: vsp.ID(),
-		Arena: &s.arena,
-	})
-	vsp.End()
-	s.Datasets[i] = ds
-	s.Results[i] = res
-	s.Obs.Inc("eval.vp_runs")
-	return res
-}
-
-// RunVPRemote measures VP i over the §5.8 remote-control protocol: a thin
-// agent with its own engine dials back to an in-process controller over
-// loopback TCP, optionally through a deterministic fault injector
-// (faultSpec syntax: internal/faults, e.g. "seed=11,drop=0.12,heal=40").
-// Probing is forced to one worker so the command stream — and therefore
-// the fault schedule and the inferred links — is deterministic. A lost
-// session degrades gracefully: the partial dataset is still inferred and
-// Datasets[i].Stats.TargetsLost reports what was abandoned.
-func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, opts core.Options, faultSpec string) (*core.Result, error) {
-	spec, err := faults.Parse(faultSpec)
-	if err != nil {
-		return nil, err
-	}
-	inj := faults.New(spec)
-
-	ctrl, err := scamper.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer ctrl.Close()
-	ctrl.SetObs(s.Obs)
-	ctrl.SetHelloTimeout(time.Second)
-
-	// The agent gets a fresh engine so this run's measurement is a pure
-	// function of (profile, seed, cfg, faultSpec) — prior local runs on
-	// the scenario's shared engine cannot contaminate it.
-	eng := probe.New(s.Net, s.Tab)
-	eng.SetObs(s.Obs)
-	eng.SetFaults(inj)
-	// The agent keeps its own small span log (one span per protocol
-	// session); the controller pulls and grafts it under the vp span after
-	// the run, so redials and resumes are visible in the timeline.
-	var agentSpans *obs.SpanLog
-	if s.Spans.Enabled() {
-		agentSpans = obs.NewSpanLog(256)
-	}
-	agent := &scamper.Agent{E: eng, VP: s.Net.VPs[i], Spans: agentSpans}
-	agentDone := make(chan error, 1)
-	go func() {
-		agentDone <- agent.DialRetry(ctrl.Addr(), scamper.DialOptions{
-			Dial:         inj.DialFunc,
-			MaxRedials:   100,
-			RedialBase:   time.Millisecond,
-			RedialMax:    16 * time.Millisecond,
-			HelloTimeout: 250 * time.Millisecond,
-		})
-	}()
-
-	// Accept must race the agent's exit: a fault schedule harsh enough to
-	// kill every hello means no session ever forms, and waiting on Accept
-	// alone would block forever (ctrl.Close only runs when we return).
-	type accepted struct {
-		rp  *scamper.RemoteProber
-		err error
-	}
-	acceptC := make(chan accepted, 1)
-	go func() {
-		rp, err := ctrl.Accept()
-		acceptC <- accepted{rp, err}
-	}()
-	var rp *scamper.RemoteProber
-	select {
-	case a := <-acceptC:
-		if a.err != nil {
-			return nil, a.err
-		}
-		rp = a.rp
-	case err := <-agentDone:
-		// The agent may have established a session and then died; prefer
-		// the session if one raced in, otherwise the run is over.
-		select {
-		case a := <-acceptC:
-			if a.err != nil {
-				return nil, a.err
-			}
-			rp = a.rp
-			agentDone <- err // re-arm for the post-run drain below
-		default:
-			if err == nil {
-				err = fmt.Errorf("eval: agent exited before establishing a session")
-			}
-			return nil, err
-		}
-	}
-	// Loopback scale: frame processing is sub-millisecond (the engine is
-	// simulated), so timeouts far below the WAN defaults keep chaos runs
-	// fast while still dwarfing any injected stall.
-	rp.SetHardening(scamper.Hardening{
-		FrameTimeout: 100 * time.Millisecond,
-		RetryBudget:  12,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   16 * time.Millisecond,
-		ResumeWait:   2 * time.Second,
-	})
-
-	cfg.Workers = 1
-	vsp := s.beginVPSpan(i, "remote")
-	d := &scamper.Driver{
-		View:       s.View,
-		Prober:     rp,
-		HostASNs:   s.HostASNs,
-		Cfg:        cfg,
-		Obs:        s.Obs,
-		Trace:      s.Trace,
-		Spans:      s.Spans,
-		SpanParent: vsp.ID(),
-	}
-	ds := d.Run()
-	// Graft the agent's session spans into the vp span before the bye.
-	// Best-effort: a session the fault schedule killed for good has
-	// nothing to pull, and that must not fail a degraded-but-useful run.
-	if s.Spans.Enabled() {
-		if recs, err := rp.PullSpans(); err == nil {
-			s.Spans.MergeRecords(recs, vsp.ID())
-		}
-	}
-	rp.Close()
-	select {
-	case <-agentDone:
-		// A clean bye returns nil; a killed agent reports its redial
-		// exhaustion. Either way the dataset below is what counts.
-	case <-time.After(10 * time.Second):
-	}
-
-	res := core.Infer(core.Input{
-		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs, Opts: opts,
-		Obs: s.Obs, Trace: s.Trace, Spans: s.Spans, SpanParent: vsp.ID(),
-		Arena: &s.arena,
-	})
-	vsp.End()
-	s.Datasets[i] = ds
-	s.Results[i] = res
-	s.Obs.Inc("eval.vp_runs_remote")
-	return res, nil
-}
-
-// RunAll measures from every VP. It is the one-worker degenerate case of
-// the fleet coordinator: every VP runs locally, in VP order, on a fresh
-// engine, and the outputs land in Datasets/Results exactly as before.
-// RunFleet with more workers produces byte-identical merged output.
-func (s *Scenario) RunAll(cfg scamper.Config) {
-	if _, err := s.RunFleet(cfg, FleetOptions{Workers: 1}); err != nil {
-		// Local-only fleets allocate no listener and validate no order:
-		// there is nothing left that can fail.
-		panic(fmt.Sprintf("eval: RunAll: %v", err))
-	}
-}
-
-// RunVPIncremental measures and infers from one vantage point using
-// cross-round state: state carries VP i's measurement memory from the
-// previous round (trace transcripts, stop-set evolution, alias memo) and
-// prev its previous inference result. The driver replays unchanged
-// targets without spending probes, and the core splices prior
-// attributions for routers far from every changed address. Passing a
-// fresh state and nil prev degrades to a from-scratch run.
-func (s *Scenario) RunVPIncremental(i int, cfg scamper.Config, opts core.Options, state *scamper.RoundState, prev *core.Result) *core.Result {
-	if s.Results[i] != nil {
-		return s.Results[i]
-	}
-	cfg.State = state
-	vsp := s.beginVPSpan(i, "incremental")
-	d := &scamper.Driver{
-		View:       s.View,
-		Prober:     scamper.LocalProber{E: s.Engine, VP: s.Net.VPs[i]},
-		HostASNs:   s.HostASNs,
-		Cfg:        cfg,
-		Obs:        s.Obs,
-		Trace:      s.Trace,
-		Spans:      s.Spans,
-		SpanParent: vsp.ID(),
-	}
-	ds := d.Run()
-	res := core.Infer(core.Input{
-		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs, Opts: opts,
-		Obs: s.Obs, Trace: s.Trace, Spans: s.Spans, SpanParent: vsp.ID(),
-		Prev: prev, Arena: &s.arena,
-	})
-	vsp.End()
-	s.Datasets[i] = ds
-	s.Results[i] = res
-	s.Obs.Inc("eval.vp_runs_incremental")
-	return res
-}
-
-// RunAllIncremental is RunAll with per-VP cross-round state and previous
-// results. states and prevs are indexed like Net.VPs; prevs may be nil on
-// the first round.
-func (s *Scenario) RunAllIncremental(cfg scamper.Config, states []*scamper.RoundState, prevs []*core.Result) {
-	if _, err := s.RunFleet(cfg, FleetOptions{Workers: 1, States: states, Prevs: prevs}); err != nil {
-		panic(fmt.Sprintf("eval: RunAllIncremental: %v", err))
 	}
 }
 

@@ -168,7 +168,6 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 		s = eval.BuildFromNetwork(n, cfg.Seed)
 		if cfg.Obs != nil {
 			s.Obs = cfg.Obs
-			s.Engine.SetObs(cfg.Obs)
 		}
 		if cfg.Spans != nil {
 			// Per-VP span subtrees for this round nest under the round

@@ -648,6 +648,11 @@ func (s *Snapshot) validateShape(nheurs int) error {
 		if int(v) < 0 || int(v) >= len(s.links) {
 			return fmt.Errorf("pair index %d references link %d of %d", i, v, len(s.links))
 		}
+		// Link binary-searches pairKeys: an out-of-order or duplicate key
+		// would not fault, it would silently miss links.
+		if i > 0 && s.pairKeys[i] <= s.pairKeys[i-1] {
+			return fmt.Errorf("pair key %d (%#x) not above its predecessor (%#x)", i, s.pairKeys[i], s.pairKeys[i-1])
+		}
 	}
 	if len(s.nbAS) == 0 {
 		if len(s.nbOff) > 1 {

@@ -438,3 +438,44 @@ func TestPublishDiffsAgainstHistoryTail(t *testing.T) {
 		t.Fatal("published diff does not match the history-tail diff")
 	}
 }
+
+// TestSegmentRejectsUnsortedPairKeys writes a snapshot whose pair index is
+// out of order (two keys swapped with their values) or holds a duplicate
+// key. Every CRC still matches — the writer computed them — but Link's
+// binary search would silently miss links, so both decode paths must
+// refuse the segment.
+func TestSegmentRejectsUnsortedPairKeys(t *testing.T) {
+	mutations := []struct {
+		name string
+		mut  func(s *Snapshot)
+	}{
+		{"swapped", func(s *Snapshot) {
+			s.pairKeys[0], s.pairKeys[1] = s.pairKeys[1], s.pairKeys[0]
+			s.pairVals[0], s.pairVals[1] = s.pairVals[1], s.pairVals[0]
+		}},
+		{"duplicate", func(s *Snapshot) { s.pairKeys[1] = s.pairKeys[0] }},
+	}
+	for _, tc := range mutations {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := Compile(64500, []*core.Result{syntheticResult("vp", 8, 60000)})
+			if len(snap.pairKeys) < 2 {
+				t.Fatalf("only %d pair keys", len(snap.pairKeys))
+			}
+			tc.mut(snap)
+			var buf bytes.Buffer
+			if _, err := snap.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadSegment(buf.Bytes()); err == nil {
+				t.Error("ReadSegment accepted unsorted pair keys")
+			}
+			path := filepath.Join(t.TempDir(), "bad.seg")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenSegment(path); err == nil {
+				t.Error("OpenSegment accepted unsorted pair keys")
+			}
+		})
+	}
+}

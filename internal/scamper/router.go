@@ -61,10 +61,11 @@ func (r *Router) loop() {
 }
 
 // Claim returns the next new session for the named vantage point, waiting
-// up to timeout for its agent to finish a handshake. A shard whose agent
-// was killed and replaced claims again and receives the replacement's
-// fresh session.
-func (r *Router) Claim(name string, timeout time.Duration) (*RemoteProber, error) {
+// up to timeout for its agent to finish a handshake. Closing abort — the
+// caller's signal that the agent has exited — ends the wait at once: a
+// dead agent's session can never arrive. A shard whose agent was killed
+// and replaced claims again and receives the replacement's fresh session.
+func (r *Router) Claim(name string, timeout time.Duration, abort <-chan struct{}) (*RemoteProber, error) {
 	r.mu.Lock()
 	if q := r.ready[name]; len(q) > 0 {
 		p := q[0]
@@ -98,26 +99,35 @@ func (r *Router) Claim(name string, timeout time.Duration) (*RemoteProber, error
 		r.mu.Unlock()
 		return nil, err
 	case <-t.C:
-		r.abandon(name, ch)
-		// A delivery can race the timer; prefer the session to the error.
-		select {
-		case p := <-ch:
+		if p := r.abandon(name, ch); p != nil {
 			return p, nil
-		default:
 		}
 		return nil, fmt.Errorf("scamper: no session from agent %q within %v", name, timeout)
+	case <-abort:
+		if p := r.abandon(name, ch); p != nil {
+			return p, nil
+		}
+		return nil, fmt.Errorf("scamper: agent %q exited before a session formed", name)
 	}
 }
 
-// abandon removes ch from name's waiter queue.
-func (r *Router) abandon(name string, ch chan *RemoteProber) {
+// abandon removes ch from name's waiter queue. A delivery can race the
+// caller giving up; abandon returns that session, preferring it to the
+// error.
+func (r *Router) abandon(name string, ch chan *RemoteProber) *RemoteProber {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ws := r.waiters[name]
 	for i, w := range ws {
 		if w == ch {
 			r.waiters[name] = append(ws[:i:i], ws[i+1:]...)
-			return
+			break
 		}
+	}
+	select {
+	case p := <-ch:
+		return p
+	default:
+		return nil
 	}
 }
